@@ -279,7 +279,8 @@ const REPLAY_WINDOW_CHUNKS: u64 = 1500;
 /// functions — plan (cache lookup) → instantiate → `parallel_for`
 /// chunk claims → anchor unrank per chunk → row walk + body — with an
 /// `nrl_obs` span around each call. Returns the replay's wall time in
-/// ns and whether every domain's visit matched its reference.
+/// ns, without the time spent draining events, and whether every
+/// domain's visit matched its reference.
 fn replay(
     cache: &nrl_plan::PlanCache,
     cells: &Cells,
@@ -287,6 +288,7 @@ fn replay(
     events: &mut Vec<nrl_obs::TraceEvent>,
 ) -> (u128, bool) {
     let mut ok = true;
+    let mut drain_ns = 0;
     let t0 = Instant::now();
     for (b, want) in cells.sets[0].iter().zip(refs) {
         let plan = {
@@ -327,12 +329,14 @@ fn replay(
                     });
             }
             done += n;
+            let td = Instant::now();
             events.extend(nrl_obs::drain().events);
+            drain_ns += td.elapsed().as_nanos();
         }
         let mut sink = sink;
         ok &= sink.take_visit() == *want;
     }
-    (t0.elapsed().as_nanos(), ok)
+    (t0.elapsed().as_nanos() - drain_ns, ok)
 }
 
 /// Self time per span name: duration minus the time its directly nested
@@ -516,17 +520,11 @@ pub fn layers(
 
     // Traced replay vs the same replay untraced, and the reconciliation.
     // Each round runs the untraced runner's `OncePerChunk` cells next to
-    // the two replays, so a drift of the host's speed between rounds
-    // moves both sides of the residual alike.
-    let span_ns = time_per_call_ns(0.05, || {
-        nrl_obs::TraceConfig::set_enabled(true);
-        for _ in 0..2000 {
-            let _s = nrl_obs::span("replay", "calibrate");
-        }
-        nrl_obs::TraceConfig::set_enabled(false);
-        nrl_obs::drain();
-        2000
-    });
+    // the two replays, so a change of the host's speed between rounds
+    // moves every side of the residual alike. The spans' own cost is the
+    // traced replay's time minus the untraced one's in the same round:
+    // recording an event lands inside the enclosing span, so it would
+    // otherwise count as layer time.
     let cache = nrl_plan::PlanCache::new(1, 8);
     let mut untraced = Vec::new();
     let mut traced = Vec::new();
@@ -540,21 +538,20 @@ pub fn layers(
             runner += t;
         }
         let mut events = Vec::new();
-        let (ns, ok) = replay(&cache, &cells, &refs, &mut events);
+        let (plain_ns, ok) = replay(&cache, &cells, &refs, &mut events);
         tally.check(ok);
-        untraced.push(ns as f64);
+        untraced.push(plain_ns as f64);
         let session = nrl_obs::TraceSession::begin();
-        let (ns, ok) = replay(&cache, &cells, &refs, &mut events);
+        let (traced_ns, ok) = replay(&cache, &cells, &refs, &mut events);
         let rest = session.end();
         events.extend(rest.events);
         tally.check(ok && rest.dropped == 0);
-        traced.push(ns as f64);
+        traced.push(traced_ns as f64);
         let selfs = self_times(&events);
         let get = |n: &str| selfs.iter().find(|t| t.0 == n).map_or(0, |t| t.1) as f64;
-        let spans: u64 = selfs.iter().map(|t| t.2).sum();
         let pts = nd * ANCHOR_POINTS as f64;
         let layered = get("unrank") + get("rowwalk") + get("parfor");
-        let replayed = (layered - spans as f64 * span_ns) / pts;
+        let replayed = (layered - (traced_ns as f64 - plain_ns as f64)) / pts;
         replay_self.push([
             runner as f64 / pts,
             runner as f64 / pts - replayed,

@@ -1,6 +1,6 @@
 //! The repository benchmark: three workloads over the public API of the
-//! collapse engine, each run in its own process, plus a traced run that
-//! times every layer from outside. See `perfbench/README.md`.
+//! collapse engine, plus a traced run that times every layer from
+//! outside. See `perfbench/README.md`.
 //!
 //! ```text
 //! perfbench --workload <paper-kernels|anchor-recovery|serve-mixed>
@@ -18,33 +18,38 @@ mod paper;
 mod serve;
 
 use measure::{median, peak_rss_mb, percentile};
-use std::process::{Command, ExitCode, Output, Stdio};
+use std::process::ExitCode;
 
-/// Workload names, in the order `BENCHMARK.json` lists them.
+/// Workload names: `BENCHMARK.json` lists the first two; `serve-mixed`
+/// runs by hand (see `perfbench/README.md`, *Steadiness rules*).
 pub const WORKLOADS: [&str; 3] = ["paper-kernels", "anchor-recovery", "serve-mixed"];
 
 /// End-to-end metrics and their units, printed by every untraced run.
 pub const END_TO_END: [(&str, &str); 7] = [
     ("points_per_s", "1/s"),
     ("ops_per_s", "1/s"),
-    ("op_p50_us", "us"),
-    ("warm_p50_us", "us"),
-    ("cold_p50_us", "us"),
+    ("op_p90_us", "us"),
+    ("warm_p90_us", "us"),
+    ("cold_p90_us", "us"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MiB"),
 ];
 
-/// Processes an untraced run is split over, one after the other, each
-/// measuring `--seconds / PARTS`. The engine's speed depends on the
-/// process's memory layout, which address-space randomization draws
-/// anew for every process: whole anchor-recovery runs of one binary fell
-/// at either about 35 or about 41 ms per op. A run that averages over
-/// several processes stops drawing one layout for all its figures.
-const PARTS: usize = 6;
+/// The percentile of op latencies the end-to-end timings are taken at.
+/// The host this benchmark was built on switches, for seconds to
+/// minutes at a time, between two speeds: the same anchor-recovery op
+/// took 22–25 ms in one and 38–47 ms in the other, and every cell of
+/// the op slowed alike. How much of a run fell in each varied from run
+/// to run, so over eight runs of the same code the spread (IQR over
+/// median) of the per-run median or mean reached 0.28, and of the p5
+/// 0.44. The slower state showed in almost every run, and the p90,
+/// which lies in it, spread by 0.05–0.10.
+pub const PCT: f64 = 90.0;
 
 /// Per-layer metrics, printed by every traced run.
-pub const PER_LAYER: [&str; 42] = [
-    "tail.op_p90_us",
+pub const PER_LAYER: [&str; 43] = [
+    "ops.p5_us",
+    "ops.p50_us",
     "unrank.scalar_ns.d2",
     "unrank.scalar_ns.d3",
     "unrank.scalar_ns.d4",
@@ -89,8 +94,10 @@ pub const PER_LAYER: [&str; 42] = [
 ];
 
 /// Set-ups per run: `setup_s` is their median, and for the two batch
-/// workloads `cold_p50_us` is the median of their warm-up ops.
-pub const SETUP_REPS: usize = 11;
+/// workloads `cold_p90_us` is taken over their warm-up ops. At 33 the
+/// p90 of the warm-up ops had three samples beyond it and spread by up
+/// to 0.09 over ten runs, against 0.06 for the p90 of the timed ops.
+pub const SETUP_REPS: usize = 66;
 
 /// One reported figure.
 #[derive(Clone, Debug)]
@@ -208,10 +215,9 @@ impl Phase {
             .collect()
     }
 
-    /// Throughput at each class's median latency: `ops_per_s` is
-    /// `1 / Σ_c share_c · p50_c` and `points_per_s` weighs each class's
-    /// mean points per op the same way. Medians keep a stall of the
-    /// shared host (which shows in `tail.op_p90_us`) out of it.
+    /// Throughput at each class's [`PCT`] latency: `ops_per_s` is
+    /// `1 / Σ_c share_c · p90_c` and `points_per_s` weighs each class's
+    /// mean points per op the same way.
     fn throughput(&self) -> (f64, f64) {
         let n = self.ops() as f64;
         let (mut us, mut pts) = (0.0, 0.0);
@@ -220,32 +226,33 @@ impl Phase {
             if k == 0 {
                 continue;
             }
-            us += k as f64 / n * median(&self.us_of(Some(c)));
+            us += k as f64 / n * percentile(&self.us_of(Some(c)), PCT);
             pts += self.points[c as usize] as f64 / n;
         }
         (1e6 / us, pts * 1e6 / us)
     }
 
-    /// The p90 of the timed ops (at least ten samples beyond it, by
-    /// [`MIN_OPS`]).
-    pub fn p90_us(&self) -> f64 {
-        percentile(&self.us_of(None), 90.0)
+    /// Percentile `p` of the timed ops (the p90 has at least ten
+    /// samples beyond it, by [`MIN_OPS`]).
+    pub fn op_us(&self, p: f64) -> f64 {
+        percentile(&self.us_of(None), p)
     }
 
     fn metrics(&self) -> Vec<Metric> {
         let (ops_s, pts_s) = self.throughput();
         let cold = self.us_of(Some(Class::Cold));
         let cold = if cold.is_empty() {
-            median(&self.first_op_us)
+            &self.first_op_us
         } else {
-            median(&cold)
+            &cold
         };
+        let warm = self.us_of(Some(Class::Warm));
         vec![
             Metric::new("points_per_s", pts_s, "1/s"),
             Metric::new("ops_per_s", ops_s, "1/s"),
-            Metric::new("op_p50_us", median(&self.us_of(None)), "us"),
-            Metric::new("warm_p50_us", median(&self.us_of(Some(Class::Warm))), "us"),
-            Metric::new("cold_p50_us", cold, "us"),
+            Metric::new("op_p90_us", self.op_us(PCT), "us"),
+            Metric::new("warm_p90_us", percentile(&warm, PCT), "us"),
+            Metric::new("cold_p90_us", percentile(cold, PCT), "us"),
             Metric::new("setup_s", median(&self.setup_s), "s"),
             Metric::new("peak_rss_mb", peak_rss_mb(), "MiB"),
         ]
@@ -309,14 +316,11 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    /// Set in the child processes of an untraced run.
-    part: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
-    let mut part = false;
     while let Some(flag) = args.next() {
         let value = args.next().ok_or(format!("{flag} needs a value"))?;
         match flag.as_str() {
@@ -324,7 +328,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => seed = Some(value.parse::<u64>().map_err(|e| e.to_string())?),
             "--seconds" => seconds = Some(value.parse::<f64>().map_err(|e| e.to_string())?),
             "--trace" => trace = Some(value == "1"),
-            "--part" => part = value == "1",
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -337,19 +340,22 @@ fn parse_args() -> Result<Args, String> {
         seed: seed.unwrap_or(1),
         seconds: seconds.unwrap_or(10.0).max(0.5),
         trace: trace.unwrap_or(false),
-        part,
     })
 }
 
-/// The traced run: the p90 of the named workload's ops (untraced; it
-/// moved here from the end-to-end list because it does not hold within
-/// a tenth from run to run), then every layer's figures, whatever the
-/// workload (each layer is driven by the inputs of the workload it
-/// serves).
+/// The traced run: the p5 and median of the named workload's ops
+/// (untraced; they moved here from the end-to-end list because they do
+/// not hold within a tenth from run to run, see [`PCT`]), then every
+/// layer's figures,
+/// whatever the workload (each layer is driven by the inputs of the
+/// workload it serves).
 fn traced(args: &Args) -> (Vec<Metric>, Tally) {
-    let tail = run_workload(&args.workload, args.seed, args.seconds * 0.5);
-    let mut metrics = vec![Metric::new("tail.op_p90_us", tail.p90_us(), "us")];
-    let mut tally = tail.tally;
+    let phase = run_workload(&args.workload, args.seed, args.seconds * 0.5);
+    let mut metrics = vec![
+        Metric::new("ops.p5_us", phase.op_us(5.0), "us"),
+        Metric::new("ops.p50_us", phase.op_us(50.0), "us"),
+    ];
+    let mut tally = phase.tally;
     let mut events = Vec::new();
     let layers_s = args.seconds * 0.5;
     metrics.extend(anchor::layers(
@@ -393,135 +399,6 @@ fn json_line(correct: bool, tally: Tally, metrics: &[Metric]) -> String {
     )
 }
 
-/// One part of an untraced run, in a child process: the workload's
-/// figures as `part <name> <value>` lines and a `tally` line.
-fn part(args: &Args) {
-    let phase = run_workload(&args.workload, args.seed, args.seconds);
-    for m in phase.metrics() {
-        println!("part {} {}", m.name, m.value);
-    }
-    println!("tally {} {}", phase.tally.attempted, phase.tally.failed);
-}
-
-/// Mean of `values` without their highest and lowest, so one part that
-/// met a stall of the host does not pull the figure.
-fn trimmed_mean(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let kept = if v.len() >= 3 {
-        &v[1..v.len() - 1]
-    } else {
-        &v[..]
-    };
-    kept.iter().sum::<f64>() / kept.len() as f64
-}
-
-/// CPUs this process may run on (`Cpus_allowed_list` of
-/// `/proc/self/status`, e.g. `0-1,4`); empty when unknown.
-fn allowed_cpus() -> Vec<u32> {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let Some(list) = status
-        .lines()
-        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
-    else {
-        return Vec::new();
-    };
-    let mut cpus = Vec::new();
-    for range in list.trim().split(',') {
-        let mut ends = range.split('-').map(|v| v.trim().parse::<u32>());
-        match (ends.next(), ends.next()) {
-            (Some(Ok(lo)), Some(Ok(hi))) => cpus.extend(lo..=hi),
-            (Some(Ok(one)), None) => cpus.push(one),
-            _ => return Vec::new(),
-        }
-    }
-    cpus
-}
-
-/// Runs this benchmark again as a child process for `seconds`, pinned to
-/// one CPU with `taskset` where it exists. Pinned, the serve client and
-/// the service's dispatcher hand requests over on one CPU instead of
-/// waking each other across CPUs: on the 2-core VM this benchmark was
-/// built on, that took the warm `run` p50 from 69–76 µs with a
-/// run-to-run spread of ±20% down to 33–38 µs, and serve-mixed's set-up
-/// from 4.3–11 ms to 2.9–3.2 ms.
-fn run_child(args: &Args, seconds: f64, cpu: Option<u32>) -> Result<Output, String> {
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let child_args = [
-        "--workload".to_string(),
-        args.workload.clone(),
-        "--seed".into(),
-        args.seed.to_string(),
-        "--seconds".into(),
-        seconds.to_string(),
-        "--trace".into(),
-        if args.trace { "1" } else { "0" }.into(),
-        "--part".into(),
-        "1".into(),
-    ];
-    let pinned = cpu.map(|c| {
-        Command::new("taskset")
-            .args(["-c", &c.to_string()])
-            .arg(&exe)
-            .args(&child_args)
-            .stderr(Stdio::inherit())
-            .output()
-    });
-    match pinned {
-        Some(Ok(out)) => Ok(out),
-        Some(Err(e)) if e.kind() != std::io::ErrorKind::NotFound => {
-            Err(format!("part did not start: {e}"))
-        }
-        _ => Command::new(&exe)
-            .args(&child_args)
-            .stderr(Stdio::inherit())
-            .output()
-            .map_err(|e| format!("part did not start: {e}")),
-    }
-}
-
-/// An untraced run: [`PARTS`] child processes in turn, each a part of
-/// `--seconds`, pinned to the allowed CPUs in rotation; every figure is
-/// the trimmed mean over the parts.
-fn untraced(args: &Args) -> Result<(Vec<Metric>, Tally), String> {
-    let cpus = allowed_cpus();
-    let mut values: Vec<Vec<f64>> = vec![Vec::new(); END_TO_END.len()];
-    let mut tally = Tally::default();
-    for k in 0..PARTS {
-        let cpu = (!cpus.is_empty()).then(|| cpus[k % cpus.len()]);
-        let out = run_child(args, args.seconds / PARTS as f64, cpu)?;
-        if !out.status.success() {
-            return Err(format!("part failed: {}", out.status));
-        }
-        let text = String::from_utf8_lossy(&out.stdout);
-        for line in text.lines() {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            match fields.as_slice() {
-                ["part", name, value] => {
-                    let i = END_TO_END.iter().position(|(n, _)| n == name);
-                    let i = i.ok_or(format!("part reported unknown metric {name}"))?;
-                    values[i].push(value.parse().map_err(|_| format!("bad value {line}"))?);
-                }
-                ["tally", attempted, failed] => tally.checks(
-                    attempted.parse().map_err(|_| format!("bad tally {line}"))?,
-                    failed.parse().map_err(|_| format!("bad tally {line}"))?,
-                ),
-                _ => return Err(format!("unexpected part output: {line}")),
-            }
-        }
-    }
-    let mut metrics = Vec::new();
-    for ((name, unit), v) in END_TO_END.iter().zip(&values) {
-        if v.len() != PARTS {
-            return Err(format!("{name}: {} of {PARTS} parts reported", v.len()));
-        }
-        let parts: Vec<String> = v.iter().map(|x| format!("{x:.4}")).collect();
-        println!("parts {name}: {}", parts.join(" "));
-        metrics.push(Metric::new(name, trimmed_mean(v), unit));
-    }
-    Ok((metrics, tally))
-}
-
 /// Prints `metrics` (in the declared order), the failure ratio and the
 /// JSON result line; exit code 1 if any output was wrong.
 fn report(metrics: Vec<Metric>, tally: Tally, expected: &[&str]) -> ExitCode {
@@ -556,6 +433,29 @@ fn report(metrics: Vec<Metric>, tally: Tally, expected: &[&str]) -> ExitCode {
     }
 }
 
+/// Fixes glibc's threshold above which `malloc` maps fresh pages at its
+/// initial 128 KiB. glibc raises the threshold as large blocks are
+/// freed; left to do so, paper-kernels' repeated set-ups (about 65 MiB
+/// of matrices each) fell from about 110 to about 60 ms partway through
+/// a run, at a set-up that varied from run to run, so `setup_s` landed
+/// on either level. Fixed, every set-up maps its data afresh, as a
+/// process that builds its kernels once does.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn fix_mmap_threshold() {
+    const M_MMAP_THRESHOLD: i32 = -3;
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    // SAFETY: `mallopt` only sets an allocator parameter; it is called
+    // before this process allocates its workload.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn fix_mmap_threshold() {}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -564,43 +464,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match (args.part, args.trace) {
-        (true, false) => {
-            part(&args);
-            ExitCode::SUCCESS
-        }
-        (true, true) => {
-            let (metrics, tally) = traced(&args);
-            report(metrics, tally, &PER_LAYER)
-        }
-        (false, true) => {
-            // The traced run is one pinned child; its output is the result.
-            let cpu = allowed_cpus().first().copied();
-            match run_child(&args, args.seconds, cpu) {
-                Ok(out) => {
-                    print!("{}", String::from_utf8_lossy(&out.stdout));
-                    if out.status.success() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("perfbench: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        (false, false) => match untraced(&args) {
-            Ok((metrics, tally)) => {
-                let names: Vec<&str> = END_TO_END.iter().map(|(n, _)| *n).collect();
-                report(metrics, tally, &names)
-            }
-            Err(e) => {
-                eprintln!("perfbench: {e}");
-                ExitCode::FAILURE
-            }
-        },
+    fix_mmap_threshold();
+    if args.trace {
+        let (metrics, tally) = traced(&args);
+        report(metrics, tally, &PER_LAYER)
+    } else {
+        let phase = run_workload(&args.workload, args.seed, args.seconds);
+        let names: Vec<&str> = END_TO_END.iter().map(|(n, _)| *n).collect();
+        report(phase.metrics(), phase.tally, &names)
     }
 }
 
@@ -659,12 +530,6 @@ mod tests {
             assert_eq!(paper::reduce_chunks(), paper::reduce_chunks());
             assert_eq!(t.failed, 0, "outputs checked along the way");
         }
-    }
-
-    #[test]
-    fn trimmed_mean_drops_the_extremes() {
-        assert_eq!(trimmed_mean(&[1.0, 2.0, 3.0, 100.0, 0.0, 2.0]), 2.0);
-        assert_eq!(trimmed_mean(&[4.0, 6.0]), 5.0);
     }
 
     #[test]

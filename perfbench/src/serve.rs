@@ -171,7 +171,7 @@ pub fn workload(seed: u64, seconds: f64) -> Phase {
         // Three times the set-ups of the batch workloads: this set-up
         // takes milliseconds, so its median needs more of them.
         3,
-        // `cold_p50_us` comes from the cold class here, so the warm-up
+        // `cold_p90_us` comes from the cold class here, so the warm-up
         // figure `timed` asks for is the whole set-up's.
         || {
             let t0 = Instant::now();
