@@ -57,8 +57,9 @@ fn bench_unrank(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("cached_sweep", label), &probe, |b, &pc| {
-            // 64 consecutive ranks through one cache-carrying
-            // unranker: the Recovery::Naive inner-loop shape.
+            // 64 consecutive ranks through one unranker: after the
+            // first, each is a warm step from the one before (the
+            // Recovery::Naive ablation recovers cold instead).
             let mut unranker = collapsed.unranker();
             let last = pc.min(total - 63);
             b.iter(|| {

@@ -10,7 +10,6 @@ use nrl_polyhedra::{BoundNest, NestSpec};
 use nrl_rational::Rational;
 use nrl_solver::MAX_DEGREE;
 use std::fmt;
-use std::sync::atomic::Ordering;
 
 /// Errors from symbolic collapse preparation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,16 +217,26 @@ impl CollapseSpec {
         } else {
             (None, false)
         };
-        Collapsed {
-            nest: bound_nest,
-            depth: d,
+        Collapsed::from_parts(
+            bound_nest,
+            d,
             total,
             levels,
             rank_int,
             rank_compiled,
             rank_i64_safe,
-            counters: RecoveryCounters::default(),
-        }
+            warm_reach(d, &var_box),
+        )
+    }
+}
+
+/// The largest rank gap an [`Unranker`] warm step can cover: the
+/// cursor's row plus `depth` more, each at most the innermost level's
+/// proven width (`u64::MAX` when the interval analysis overflowed).
+pub(crate) fn warm_reach(d: usize, var_box: &Option<IterBox>) -> u64 {
+    match (d, var_box) {
+        (1.., Some(b)) => (b.width[d - 1] as u64).saturating_mul(d as u64 + 1),
+        _ => u64::MAX,
     }
 }
 
@@ -370,12 +379,15 @@ pub struct Collapsed {
     rank_compiled: Option<CompiledPoly>,
     /// Bind-time i64-overflow proof for the compiled rank ladder.
     rank_i64_safe: bool,
+    /// See [`warm_reach`]: larger rank gaps skip the warm step in O(1).
+    warm_reach: u64,
     counters: RecoveryCounters,
 }
 
 impl Collapsed {
-    /// Assembles the run-time object from already-finished parts — the
-    /// [`ParamPlan`](crate::plan::ParamPlan) instantiation path.
+    /// Assembles the run-time object from already-finished parts (shared
+    /// by [`CollapseSpec::bind_unchecked`] and the
+    /// [`ParamPlan`](crate::plan::ParamPlan) instantiation path).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         nest: BoundNest,
@@ -385,6 +397,7 @@ impl Collapsed {
         rank_int: IntPoly,
         rank_compiled: Option<CompiledPoly>,
         rank_i64_safe: bool,
+        warm_reach: u64,
     ) -> Collapsed {
         Collapsed {
             nest,
@@ -394,6 +407,7 @@ impl Collapsed {
             rank_int,
             rank_compiled,
             rank_i64_safe,
+            warm_reach,
             counters: RecoveryCounters::default(),
         }
     }
@@ -473,12 +487,14 @@ impl Collapsed {
             self.total
         );
         assert_eq!(point.len(), self.depth, "point arity mismatch");
+        let mut tally = RecoveryStats::default();
         for k in 0..self.depth {
             let lb = self.nest.lower(k, point);
             let ub = self.nest.upper(k, point);
-            let v = self.levels[k].recover(point, k, lb, ub, pc, &self.counters);
+            let v = self.levels[k].recover(point, k, lb, ub, pc, &mut tally);
             point[k] = v;
         }
+        self.counters.merge(&tally);
     }
 
     /// Allocating convenience wrapper around [`Self::unrank_into`].
@@ -497,12 +513,14 @@ impl Collapsed {
             self.total
         );
         assert_eq!(point.len(), self.depth, "point arity mismatch");
+        let mut tally = RecoveryStats::default();
         for k in 0..self.depth {
             let lb = self.nest.lower(k, point);
             let ub = self.nest.upper(k, point);
-            let v = self.levels[k].recover_with(point, k, lb, ub, pc, &self.counters, engine);
+            let v = self.levels[k].recover_with(point, k, lb, ub, pc, &mut tally, engine);
             point[k] = v;
         }
+        self.counters.merge(&tally);
     }
 
     /// Unranks using only the exact binary-search path (no floating
@@ -538,22 +556,28 @@ impl Collapsed {
         }
     }
 
-    /// Snapshot of the recovery-path counters accumulated so far.
+    /// Snapshot of the recovery-path counters accumulated so far. Live
+    /// [`Unranker`]s merge their tallies when dropped, so the snapshot
+    /// is exact once every run (and every unranker) has returned.
     pub fn stats(&self) -> RecoveryStats {
         self.counters.snapshot()
     }
 
-    /// A recovery handle with a per-level specialization cache.
+    /// A recovery handle with a per-level specialization cache and a
+    /// warm cursor.
     ///
-    /// Executors create one per worker: successive `unrank_into` calls
-    /// whose outer prefix has not moved (the common case under
-    /// consecutive or nearby ranks) reuse the already-folded Horner
-    /// ladders instead of re-specializing every level.
+    /// Executors create one per worker: a rank a little past the
+    /// handle's last recovery is reached by walking forward from it
+    /// (see [`Unranker`]), and successive recoveries whose outer prefix
+    /// has not moved reuse the already-folded Horner ladders instead of
+    /// re-specializing every level.
     pub fn unranker(&self) -> Unranker<'_> {
         Unranker {
             collapsed: self,
             cache: vec![LevelCache::default(); self.depth],
             rank_cache: LevelCache::default(),
+            cursor: None,
+            tally: RecoveryStats::default(),
         }
     }
 
@@ -591,19 +615,50 @@ struct LevelCache {
     spec: Option<SpecializedPoly>,
 }
 
-/// A stateful recovery handle over a [`Collapsed`] loop: caches each
-/// level's [`SpecializedPoly`] keyed by the outer prefix it was folded
-/// at (see [`Collapsed::unranker`]). Cheap to create; not `Sync` —
-/// one per worker thread.
+/// A stateful recovery handle over a [`Collapsed`] loop (see
+/// [`Collapsed::unranker`]). Cheap to create; not `Sync` — one per
+/// worker thread.
+///
+/// Two pieces of state make repeated recoveries cheap:
+///
+/// * **Warm cursor.** The handle remembers the rank and point of its
+///   last recovery. A later rank `pc ≥ last` is first tried as an exact
+///   integer step forward over the bound nest: the gap is added inside
+///   the current row, or rows are crossed with the odometer carry, at
+///   most `depth` of them (the *row budget*). Gaps that cannot fit in
+///   `depth + 1` rows of the innermost level's bind-time width bound
+///   are rejected in O(1), so random access never pays for the walk.
+///   Under small dynamic chunks a worker's next anchor usually lies a
+///   few rows past its last one, and crossing a few rows is far
+///   cheaper than solving `depth` polynomial roots.
+/// * **Specialization cache.** Otherwise each level's engine runs over
+///   a [`SpecializedPoly`] cached per level and keyed by the outer
+///   prefix it was folded at.
+///
+/// Both answer bit-identically to [`Collapsed::unrank_reference_into`].
+/// Recovery counters are tallied in the handle and merged into the
+/// collapsed loop's [`stats`](Collapsed::stats) when it is dropped
+/// (unwinding included).
 pub struct Unranker<'a> {
     collapsed: &'a Collapsed,
     cache: Vec<LevelCache>,
     /// Specialization cache for the compiled `rank()` ladder, keyed by
     /// the `depth − 1` outer indices.
     rank_cache: LevelCache,
+    /// The warm cursor: the rank of the last recovery and a walker
+    /// parked at its point (`None` before the first one, and at depth 0).
+    cursor: Option<(i128, RowWalker<'a>)>,
+    /// This handle's recovery counters, merged on drop.
+    tally: RecoveryStats,
 }
 
-impl Unranker<'_> {
+impl Drop for Unranker<'_> {
+    fn drop(&mut self) {
+        self.collapsed.counters.merge(&self.tally);
+    }
+}
+
+impl<'a> Unranker<'a> {
     /// The underlying collapsed loop.
     pub fn collapsed(&self) -> &Collapsed {
         self.collapsed
@@ -626,10 +681,71 @@ impl Unranker<'_> {
         self.unrank_with(pc, point, Some(LevelEngine::ClosedForm));
     }
 
+    /// The adaptive engines without the warm cursor (neither tried nor
+    /// moved): the per-iteration recovery of the `Recovery::Naive`
+    /// ablation, which must keep paying a full recovery per point.
+    pub(crate) fn unrank_cold_into(&mut self, pc: i128, point: &mut [i64]) {
+        self.check_rank(pc, point);
+        self.recover_levels(pc, point, None);
+    }
+
     fn unrank_with(&mut self, pc: i128, point: &mut [i64], force: Option<LevelEngine>) {
+        self.check_rank(pc, point);
+        if !self.warm_step(pc, point) {
+            self.recover_levels(pc, point, force);
+            self.park(pc, point);
+        }
+    }
+
+    fn check_rank(&self, pc: i128, point: &[i64]) {
         let c = self.collapsed;
         assert!(pc >= 1 && pc <= c.total, "pc {pc} outside 1..={}", c.total);
         assert_eq!(point.len(), c.depth, "point arity mismatch");
+    }
+
+    /// Tries to reach rank `pc` by walking forward from the cursor
+    /// within the row budget; on success writes the point, moves the
+    /// cursor there and returns `true`. A failed try drops the cursor
+    /// (its walker stopped part-way); the caller's cold recovery parks
+    /// a new one.
+    fn warm_step(&mut self, pc: i128, point: &mut [i64]) -> bool {
+        let c = self.collapsed;
+        let Some((last, walker)) = &mut self.cursor else {
+            return false;
+        };
+        let gap = match u64::try_from(pc - *last) {
+            Ok(gap) if gap <= c.warm_reach => gap,
+            // Backwards, or too far for the row budget: no walk at all.
+            _ => return false,
+        };
+        if !walker.skip_within(gap, c.depth) {
+            self.cursor = None;
+            return false;
+        }
+        *last = pc;
+        point.copy_from_slice(walker.point());
+        self.tally.warm_step += 1;
+        true
+    }
+
+    /// Moves the warm cursor to the just-recovered `point` at rank `pc`.
+    fn park(&mut self, pc: i128, point: &[i64]) {
+        match &mut self.cursor {
+            Some((last, walker)) => {
+                *last = pc;
+                walker.reanchor(point);
+            }
+            None if !point.is_empty() => {
+                self.cursor = Some((pc, RowWalker::anchor(&self.collapsed.nest, point)));
+            }
+            None => {}
+        }
+    }
+
+    /// One cold recovery: every level through its engine (`force`, or
+    /// the bind-time choice) over the prefix-keyed specialization cache.
+    fn recover_levels(&mut self, pc: i128, point: &mut [i64], force: Option<LevelEngine>) {
+        let c = self.collapsed;
         for k in 0..c.depth {
             let lb = c.nest.lower(k, point);
             let ub = c.nest.upper(k, point);
@@ -646,13 +762,13 @@ impl Unranker<'_> {
                 entry.spec = Some(level.specialize(point));
                 entry.prefix[..k].copy_from_slice(&point[..k]);
                 entry.valid = true;
-                c.counters.spec_cache_miss.fetch_add(1, Ordering::Relaxed);
+                self.tally.spec_cache_miss += 1;
             } else {
-                c.counters.spec_cache_hit.fetch_add(1, Ordering::Relaxed);
+                self.tally.spec_cache_hit += 1;
             }
             let spec = entry.spec.as_ref().expect("cache entry just filled");
             let engine = force.unwrap_or(level.engine);
-            point[k] = level.recover_spec(spec, lb, ub, pc, &c.counters, engine);
+            point[k] = level.recover_spec(spec, lb, ub, pc, &mut self.tally, engine);
         }
     }
 
@@ -672,6 +788,9 @@ impl Unranker<'_> {
     /// one recovered anchor — and the batched executor's per-chunk
     /// anchor recovery (`stride = vlength`).
     ///
+    /// Lane 0 first tries the warm step from the cursor (see
+    /// [`Unranker`]); the cursor then parks at the last lane.
+    ///
     /// # Panics
     /// Panics if `stride < 1`, `out.len() != count·depth`, or any
     /// swept rank falls outside `1..=total`.
@@ -689,6 +808,7 @@ impl Unranker<'_> {
             "batch ranks {pc0}..={last} outside 1..={}",
             c.total
         );
+        let warm0 = self.warm_step(pc0, &mut out[..d]);
         for k in 0..d {
             let mut l = 0;
             while l < count {
@@ -697,6 +817,12 @@ impl Unranker<'_> {
                 let mut r = l + 1;
                 while r < count && out[r * d..r * d + k] == out[base..base + k] {
                     r += 1;
+                }
+                // A warm-stepped lane 0 already holds its value.
+                let first = (l == 0 && warm0).then_some(out[k]);
+                if first.is_some() && r == 1 {
+                    l = r;
+                    continue;
                 }
                 let lb = c.nest.lower(k, &out[base..base + k]);
                 let ub = c.nest.upper(k, &out[base..base + k]);
@@ -716,9 +842,9 @@ impl Unranker<'_> {
                     entry.spec = Some(level.specialize(&out[base..base + k]));
                     entry.prefix[..k].copy_from_slice(&out[base..base + k]);
                     entry.valid = true;
-                    c.counters.spec_cache_miss.fetch_add(1, Ordering::Relaxed);
+                    self.tally.spec_cache_miss += 1;
                 } else {
-                    c.counters.spec_cache_hit.fetch_add(1, Ordering::Relaxed);
+                    self.tally.spec_cache_hit += 1;
                 }
                 // `SpecializedPoly` is plain `Copy` data: lift it out of
                 // the cache so the lane run can write `out` freely.
@@ -732,11 +858,13 @@ impl Unranker<'_> {
                     r - l,
                     &mut out[base + k..],
                     d,
-                    &c.counters,
+                    first,
+                    &mut self.tally,
                 );
                 l = r;
             }
         }
+        self.park(last, &out[(count - 1) * d..]);
     }
 
     /// Cache-aware [`Collapsed::rank`]: consecutive or same-row points
@@ -768,9 +896,9 @@ impl Unranker<'_> {
             entry.spec = Some(cp.specialize(point, c.rank_i64_safe));
             entry.prefix[..p].copy_from_slice(&point[..p]);
             entry.valid = true;
-            c.counters.spec_cache_miss.fetch_add(1, Ordering::Relaxed);
+            self.tally.spec_cache_miss += 1;
         } else {
-            c.counters.spec_cache_hit.fetch_add(1, Ordering::Relaxed);
+            self.tally.spec_cache_hit += 1;
         }
         let spec = entry.spec.as_ref().expect("cache entry just filled");
         spec.eval_int(point[p])
@@ -935,6 +1063,8 @@ mod tests {
         }
         // The sweep walks rows in order: the rank-ladder cache must hit
         // for every point that shares its row prefix with the previous.
+        // The unranker's tallies reach the shared counters on drop.
+        drop(unranker);
         let stats = collapsed.stats();
         assert!(
             stats.spec_cache_hit > stats.spec_cache_miss,

@@ -29,16 +29,30 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// (§V of the paper).
 ///
 /// All modes except [`Recovery::Reference`] recover through per-worker
-/// [`Unranker`] scratch slots, so the specialization caches survive
-/// chunk boundaries under dynamic and guided schedules too.
+/// [`Unranker`] scratch slots, so the specialization caches — and the
+/// unranker's **warm cursor** — survive chunk boundaries under dynamic
+/// and guided schedules too.
+///
+/// The warm cursor is the rank and point of the worker's last
+/// recovery. A chunk anchor at or past it is reached by an exact
+/// integer step forward over the bound nest, crossing at most `depth`
+/// rows (the **row budget**); gaps that cannot fit in `depth + 1` rows
+/// of the innermost level's bind-time width bound skip the step in
+/// O(1). Only a miss pays the root-based recovery, so a worker's run
+/// under small dynamic chunks usually pays one cold recovery in total.
+/// Results are bit-identical with or without the step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Recovery {
     /// Costly recovery at *every* iteration (the paper's worst case,
     /// unavoidable under dynamic scheduling of single iterations).
+    /// Every point is recovered cold: the warm cursor is neither tried
+    /// nor moved, so this stays the per-iteration-recovery ablation.
     Naive,
-    /// Costly recovery once per chunk, then odometer incrementation —
-    /// the paper's Fig. 4 / §V scheme, through the adaptive per-level
-    /// engines.
+    /// Recovery once per chunk, then odometer incrementation — the
+    /// paper's Fig. 4 / §V scheme, through the adaptive per-level
+    /// engines. The anchor is first tried as a warm step from the
+    /// worker's previous anchor within the row budget; only a miss
+    /// pays the costly root-based recovery.
     OncePerChunk,
     /// §VI.A: lane-parallel batched recovery — all batch anchors of a
     /// chunk are recovered directly from the flattened indices
@@ -47,7 +61,10 @@ pub enum Recovery {
     /// tuples is materialized into per-worker [`WorkerLocal`] scratch
     /// by row-wise lane sweeps (prefix broadcast + innermost iota) and
     /// the bodies run over the buffer (the
-    /// auto-vectorization-friendly layout).
+    /// auto-vectorization-friendly layout). The chunk's first anchor
+    /// (lane 0) is first tried as a warm step from the worker's cursor,
+    /// which then parks at the chunk's last anchor; the other lanes
+    /// keep the lane engine.
     ///
     /// The vector length must be ≥ 1: use [`Recovery::batched`] to
     /// validate at construction; executors panic on a zero length.
@@ -474,7 +491,7 @@ where
                                 break;
                             }
                         }
-                        sc.unranker.unrank_into((pc + 1) as i128, point);
+                        sc.unranker.unrank_cold_into((pc + 1) as i128, point);
                         body(tid, point);
                         local += 1;
                     }
@@ -1011,24 +1028,54 @@ mod tests {
 
     #[test]
     fn worker_cache_survives_chunk_boundaries() {
-        // One worker, dynamic schedule with chunks far smaller than the
-        // domain: once-per-chunk recovery goes through the per-worker
-        // unranker, so every chunk after the first must *hit* the
-        // level-0 specialization cache (its prefix is empty — it can
-        // only miss once per worker). The old code rebuilt per chunk.
-        let nest = NestSpec::correlation();
-        let spec = CollapseSpec::new(&nest).unwrap();
-        let collapsed = spec.bind(&[40]).unwrap();
-        let total = collapsed.total() as u64; // 780
+        // One worker, dynamic chunks far smaller than the domain, rows
+        // longer than a chunk: every chunk anchor after the first lies
+        // at most one row past the last, so the worker's unranker
+        // reaches it by a warm step — one cold recovery per run, never
+        // one per chunk.
+        let s = nrl_polyhedra::Space::new(&["i", "j"], &["N"]);
+        let trapezoid = NestSpec::new(
+            s.clone(),
+            vec![
+                (s.cst(0), s.cst(3)),
+                (s.cst(0), s.var("N") - s.var("i") - 1),
+            ],
+        )
+        .unwrap();
+        let collapsed = CollapseSpec::new(&trapezoid).unwrap().bind(&[200]).unwrap();
         let chunk = 13u64;
-        let nchunks = total.div_ceil(chunk);
-        assert!(nchunks >= 2, "test needs multiple chunks");
+        let nchunks = (collapsed.total() as u64).div_ceil(chunk); // 794 points
         let pool = ThreadPool::new(1);
         collapsed
             .runner(&pool)
             .schedule(Schedule::Dynamic(chunk))
             .run(|_, _| {});
         let stats = collapsed.stats();
+        assert_eq!(stats.warm_step, nchunks - 1, "{stats:?}");
+        // The one cold recovery: both levels, each specialized once.
+        assert_eq!(stats.binary_search + stats.linear_exact, 2, "{stats:?}");
+        assert_eq!(
+            (stats.spec_cache_miss, stats.spec_cache_hit),
+            (2, 0),
+            "{stats:?}"
+        );
+
+        // Chunks longer than the warm reach ((depth + 1) × the inner
+        // width bound, 3 × 39 here) recover cold every time, and then
+        // the per-worker specialization cache must survive the chunk
+        // boundaries: the level-0 ladder (empty prefix) misses once.
+        let collapsed = CollapseSpec::new(&NestSpec::correlation())
+            .unwrap()
+            .bind(&[40])
+            .unwrap();
+        let chunk = 130u64;
+        let nchunks = (collapsed.total() as u64).div_ceil(chunk); // 780 points
+        collapsed
+            .runner(&pool)
+            .schedule(Schedule::Dynamic(chunk))
+            .run(|_, _| {});
+        let stats = collapsed.stats();
+        assert_eq!(stats.warm_step, 0, "{stats:?}");
         assert!(
             stats.spec_cache_hit >= nchunks - 1,
             "level-0 ladder must be reused across chunks: {stats:?} ({nchunks} chunks)"

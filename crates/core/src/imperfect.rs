@@ -363,7 +363,7 @@ where
                                 break;
                             }
                         }
-                        sc.unranker.unrank_into((pc + 1) as i128, point);
+                        sc.unranker.unrank_cold_into((pc + 1) as i128, point);
                         body(tid, point, NestPosition::of(nest, point));
                         local += 1;
                     }

@@ -75,7 +75,7 @@ pub use reduce::{
 pub use rowwalk::{RowSegment, RowWalker};
 pub use runner::{RunReport, Runner};
 pub use strategy::{ShapeProfile, Strategy, StrategyNode, TunedStrategy};
-pub use unrank::{EngineCalibration, LevelEngine, RecoveryStats};
+pub use unrank::{EngineCalibration, LevelEngine, RecoveryCounters, RecoveryStats};
 
 // Re-exports so downstream users need only one crate.
 pub use nrl_parfor::{RunOutcome, RunToken, Schedule, StopCause, ThreadPool};

@@ -43,8 +43,8 @@
 //! ```
 
 use crate::collapsed::{
-    assemble_level, assemble_rank, bind_poly, iterator_box, BindError, CollapseError, CollapseSpec,
-    Collapsed,
+    assemble_level, assemble_rank, bind_poly, iterator_box, warm_reach, BindError, CollapseError,
+    CollapseSpec, Collapsed,
 };
 use crate::strategy::{self, ShapeProfile, TunedStrategy};
 use crate::unrank::EngineCalibration;
@@ -324,6 +324,7 @@ impl ParamPlan {
             rank_int,
             rank_compiled,
             rank_i64_safe,
+            warm_reach(d, &var_box),
         )
     }
 }

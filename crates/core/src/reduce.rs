@@ -532,7 +532,7 @@ fn accumulate_chunk<F>(
             let scratch = scratch.expect("cached modes hold scratch");
             scratch.with(tid, |sc| {
                 for pc in s..e {
-                    sc.unranker.unrank_into((pc + 1) as i128, point);
+                    sc.unranker.unrank_cold_into((pc + 1) as i128, point);
                     body(tid, point);
                 }
             });

@@ -237,7 +237,15 @@ impl<'a> RowWalker<'a> {
     /// warp executor's stride, which previously cost `n` single-step
     /// odometer advances. Returns `false` when the domain ends first
     /// (the walker is then exhausted).
-    pub fn skip(&mut self, mut n: u64) -> bool {
+    pub fn skip(&mut self, n: u64) -> bool {
+        self.skip_within(n, usize::MAX)
+    }
+
+    /// [`skip`](Self::skip) crossing at most `max_rows` row boundaries
+    /// (the warm step of [`Unranker`](crate::collapsed::Unranker)).
+    /// Returns `false` when the budget or the domain runs out first;
+    /// the walker is then part-way and must be re-anchored before use.
+    pub(crate) fn skip_within(&mut self, mut n: u64, mut max_rows: usize) -> bool {
         self.resolve_pending();
         let last = self.depth - 1;
         loop {
@@ -248,12 +256,19 @@ impl<'a> RowWalker<'a> {
                 return true;
             }
             let row_end = self.nest.upper(last, &self.point);
-            let room = (row_end - self.point[last]) as u64;
+            let Ok(room) = u64::try_from(row_end - self.point[last]) else {
+                // Only reachable from a point outside the domain.
+                return false;
+            };
             if n <= room {
                 self.point[last] += n as i64;
                 self.entry = Some(self.depth);
                 return true;
             }
+            if max_rows == 0 {
+                return false;
+            }
+            max_rows -= 1;
             n -= room + 1;
             self.point[last] = row_end;
             let (_, carry) = self.scan_row_exit();

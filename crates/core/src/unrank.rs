@@ -254,7 +254,7 @@ impl EngineCalibration {
                 compiled,
             };
             let spec = level.specialize(&[0]);
-            let counters = RecoveryCounters::default();
+            let mut tally = RecoveryStats::default();
             // Targets spread across the range so solve work is typical.
             let mut targets = [0i128; MICROPROBE_SOLVES];
             for (i, t) in targets.iter_mut().enumerate() {
@@ -270,7 +270,7 @@ impl EngineCalibration {
                         0,
                         ub,
                         pc,
-                        &counters,
+                        &mut tally,
                         LevelEngine::ClosedForm,
                     ));
                 }
@@ -376,6 +376,13 @@ pub struct BoundLevel {
 /// Counters describing which recovery path unranking has taken (useful
 /// for the §V overhead analysis and for regression tests asserting the
 /// closed form almost always lands exactly).
+///
+/// One set per [`Collapsed`](crate::Collapsed), shared by every thread
+/// recovering through it. The hot paths never touch it per level:
+/// each [`Unranker`](crate::collapsed::Unranker) tallies into a plain
+/// [`RecoveryStats`] and merges on drop, and each one-shot
+/// `Collapsed::unrank*_into` call merges once on return. The totals are
+/// therefore exact once the run (or the unranker's owner) returns.
 #[derive(Debug, Default)]
 pub struct RecoveryCounters {
     /// Closed-form root verified exactly on the first candidate.
@@ -397,9 +404,14 @@ pub struct RecoveryCounters {
     /// (8/4-wide Horner blocks from the previous lane's value), without
     /// falling back to a full per-lane engine run.
     pub lane_sweep: AtomicU64,
+    /// `Unranker` recoveries answered by an exact integer step forward
+    /// from the unranker's last recovered point (at most `depth` row
+    /// crossings), without running any level engine.
+    pub warm_step: AtomicU64,
 }
 
-/// A plain snapshot of [`RecoveryCounters`].
+/// A plain snapshot of [`RecoveryCounters`] — and the per-worker tally
+/// the recovery paths accumulate into before merging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryStats {
     /// Closed-form root verified exactly on the first candidate.
@@ -416,20 +428,63 @@ pub struct RecoveryStats {
     pub spec_cache_miss: u64,
     /// Batched lanes resolved by the monotone forward lane sweep.
     pub lane_sweep: u64,
+    /// `Unranker` recoveries answered by a warm step.
+    pub warm_step: u64,
+}
+
+/// Applies `$m!(field)` to every counter field, so the snapshot, merge
+/// and delta below cannot miss one.
+macro_rules! for_each_counter {
+    ($m:ident) => {
+        $m!(closed_form_exact);
+        $m!(corrected);
+        $m!(binary_search);
+        $m!(linear_exact);
+        $m!(spec_cache_hit);
+        $m!(spec_cache_miss);
+        $m!(lane_sweep);
+        $m!(warm_step);
+    };
 }
 
 impl RecoveryCounters {
     /// Takes a snapshot.
     pub fn snapshot(&self) -> RecoveryStats {
-        RecoveryStats {
-            closed_form_exact: self.closed_form_exact.load(Ordering::Relaxed),
-            corrected: self.corrected.load(Ordering::Relaxed),
-            binary_search: self.binary_search.load(Ordering::Relaxed),
-            linear_exact: self.linear_exact.load(Ordering::Relaxed),
-            spec_cache_hit: self.spec_cache_hit.load(Ordering::Relaxed),
-            spec_cache_miss: self.spec_cache_miss.load(Ordering::Relaxed),
-            lane_sweep: self.lane_sweep.load(Ordering::Relaxed),
+        let mut s = RecoveryStats::default();
+        macro_rules! load {
+            ($f:ident) => {
+                s.$f = self.$f.load(Ordering::Relaxed)
+            };
         }
+        for_each_counter!(load);
+        s
+    }
+
+    /// Adds a tally: one relaxed add per non-zero field.
+    pub fn merge(&self, tally: &RecoveryStats) {
+        macro_rules! add {
+            ($f:ident) => {
+                if tally.$f != 0 {
+                    self.$f.fetch_add(tally.$f, Ordering::Relaxed);
+                }
+            };
+        }
+        for_each_counter!(add);
+    }
+}
+
+impl RecoveryStats {
+    /// Field-wise `self − before`, saturating (for two snapshots of one
+    /// counter set, taken in order).
+    pub fn since(&self, before: &RecoveryStats) -> RecoveryStats {
+        let mut d = RecoveryStats::default();
+        macro_rules! sub {
+            ($f:ident) => {
+                d.$f = self.$f.saturating_sub(before.$f)
+            };
+        }
+        for_each_counter!(sub);
+        d
     }
 }
 
@@ -470,9 +525,9 @@ impl BoundLevel {
         lb: i64,
         ub: i64,
         pc: i128,
-        counters: &RecoveryCounters,
+        tally: &mut RecoveryStats,
     ) -> i64 {
-        self.recover_with(point, k, lb, ub, pc, counters, self.engine)
+        self.recover_with(point, k, lb, ub, pc, tally, self.engine)
     }
 
     /// [`Self::recover`] with the engine forced — the per-engine
@@ -488,7 +543,7 @@ impl BoundLevel {
         lb: i64,
         ub: i64,
         pc: i128,
-        counters: &RecoveryCounters,
+        tally: &mut RecoveryStats,
         engine: LevelEngine,
     ) -> i64 {
         debug_assert!(lb <= ub, "empty level reached during recovery");
@@ -497,7 +552,7 @@ impl BoundLevel {
         }
         debug_assert_eq!(self.compiled.x(), k, "level/ladder mismatch");
         let spec = self.specialize(point);
-        self.recover_spec(&spec, lb, ub, pc, counters, engine)
+        self.recover_spec(&spec, lb, ub, pc, tally, engine)
     }
 
     /// The recovery engine over an already-specialized ladder (callers
@@ -510,7 +565,7 @@ impl BoundLevel {
         lb: i64,
         ub: i64,
         pc: i128,
-        counters: &RecoveryCounters,
+        tally: &mut RecoveryStats,
         engine: LevelEngine,
     ) -> i64 {
         debug_assert!(lb <= ub, "empty level reached during recovery");
@@ -532,7 +587,7 @@ impl BoundLevel {
             debug_assert!(c1 > 0, "ranking must increase with the index");
             let x = (target - c0).div_euclid(c1);
             let x = (x.clamp(lb as i128, ub as i128)) as i64;
-            counters.linear_exact.fetch_add(1, Ordering::Relaxed);
+            tally.linear_exact += 1;
             return x;
         }
         if engine == LevelEngine::ClosedForm && self.closed_form {
@@ -545,13 +600,13 @@ impl BoundLevel {
                 // Newton polishing folded in — no complex arithmetic,
                 // no allocation.
                 solve_real(&cf[..=deg], 2)
-                    .and_then(|roots| self.try_real_roots(&roots, spec, target, lb, ub, counters))
+                    .and_then(|roots| self.try_real_roots(&roots, spec, target, lb, ub, tally))
             } else {
                 // Quartics keep the complex Ferrari route, through the
                 // fixed-size buffer (no allocation either).
                 let mut buf = [Complex64::ZERO; MAX_DEGREE];
                 let n = solve_into(&cf[..=deg], &mut buf);
-                self.try_complex_roots(&buf[..n], &cf[..=deg], spec, target, lb, ub, counters)
+                self.try_complex_roots(&buf[..n], &cf[..=deg], spec, target, lb, ub, tally)
             };
             if let Some(x) = found {
                 return x;
@@ -560,7 +615,7 @@ impl BoundLevel {
         // Guaranteed fallback: R_k is non-decreasing over [lb, ub+1], so
         // the answer is the largest v with R_k(v) ≤ pc. Each probe is an
         // O(deg) Horner sweep.
-        counters.binary_search.fetch_add(1, Ordering::Relaxed);
+        tally.binary_search += 1;
         let (mut lo, mut hi) = (lb, ub);
         while lo < hi {
             let mid = lo + (hi - lo + 1) / 2;
@@ -591,6 +646,10 @@ impl BoundLevel {
     ///   whose value outruns [`LANE_SWEEP_LIMIT`] probes falls back to
     ///   the engine with the search floor tightened to the sweep
     ///   position, so pathological jumps stay `O(log width)`.
+    ///
+    /// `first` is lane 0's value when the caller already knows it (a
+    /// batch head the [`Unranker`](crate::collapsed::Unranker) reached
+    /// by a warm step): it is kept, and only the later lanes recover.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn recover_lanes(
         &self,
@@ -602,7 +661,8 @@ impl BoundLevel {
         lanes: usize,
         out: &mut [i64],
         out_stride: usize,
-        counters: &RecoveryCounters,
+        first: Option<i64>,
+        tally: &mut RecoveryStats,
     ) {
         debug_assert!(lb <= ub, "empty level reached during lane recovery");
         debug_assert!(lanes >= 1 && out.len() > (lanes - 1) * out_stride);
@@ -618,21 +678,23 @@ impl BoundLevel {
             let c0 = spec.coeff(0);
             let c1 = spec.coeff(1);
             debug_assert!(c1 > 0, "ranking must increase with the index");
-            let mut pc = pc0;
-            for l in 0..lanes {
+            let skip = usize::from(first.is_some());
+            let mut pc = pc0 + skip as i128 * pc_stride;
+            for l in skip..lanes {
                 let target = rank_target(pc, den);
                 let x = (target - c0).div_euclid(c1);
                 out[l * out_stride] = x.clamp(lb as i128, ub as i128) as i64;
                 pc += pc_stride;
             }
-            counters
-                .linear_exact
-                .fetch_add(lanes as u64, Ordering::Relaxed);
+            tally.linear_exact += (lanes - skip) as u64;
             return;
         }
         let sweep = LaneHorner::new(spec);
         let mut probes = [0i128; LANE_WIDTH];
-        let mut v = self.recover_spec(spec, lb, ub, pc0, counters, self.engine);
+        let mut v = match first {
+            Some(v) => v,
+            None => self.recover_spec(spec, lb, ub, pc0, tally, self.engine),
+        };
         out[0] = v;
         let mut pc = pc0;
         let mut budget = LANE_SWEEP_LIMIT;
@@ -647,7 +709,7 @@ impl BoundLevel {
             let mut swept = true;
             'lane: while v < ub {
                 if moved >= budget {
-                    v = self.recover_spec(spec, v, ub, pc, counters, self.engine);
+                    v = self.recover_spec(spec, v, ub, pc, tally, self.engine);
                     swept = false;
                     break;
                 }
@@ -663,7 +725,7 @@ impl BoundLevel {
                 moved += w;
             }
             if swept {
-                counters.lane_sweep.fetch_add(1, Ordering::Relaxed);
+                tally.lane_sweep += 1;
             }
             // Equal prefixes + non-decreasing ranks keep the lane
             // values monotone, so the observed gap predicts the next
@@ -685,7 +747,7 @@ impl BoundLevel {
         lb: i64,
         ub: i64,
         root: f64,
-        counters: &RecoveryCounters,
+        tally: &mut RecoveryStats,
     ) -> Option<i64> {
         let base = root.floor();
         if !base.is_finite() {
@@ -699,9 +761,9 @@ impl BoundLevel {
             }
             if spec.eval_numer(v) <= target && target < spec.eval_numer(v + 1) {
                 if attempt == 0 {
-                    counters.closed_form_exact.fetch_add(1, Ordering::Relaxed);
+                    tally.closed_form_exact += 1;
                 } else {
-                    counters.corrected.fetch_add(1, Ordering::Relaxed);
+                    tally.corrected += 1;
                 }
                 return Some(v);
             }
@@ -717,7 +779,7 @@ impl BoundLevel {
         target: i128,
         lb: i64,
         ub: i64,
-        counters: &RecoveryCounters,
+        tally: &mut RecoveryStats,
     ) -> Option<i64> {
         for &root in roots {
             // Reject roots far outside the feasible range before paying
@@ -725,7 +787,7 @@ impl BoundLevel {
             if !root.is_finite() || root < lb as f64 - 2.0 || root > ub as f64 + 2.0 {
                 continue;
             }
-            if let Some(v) = self.verify_candidate(spec, target, lb, ub, root, counters) {
+            if let Some(v) = self.verify_candidate(spec, target, lb, ub, root, tally) {
                 return Some(v);
             }
         }
@@ -743,7 +805,7 @@ impl BoundLevel {
         target: i128,
         lb: i64,
         ub: i64,
-        counters: &RecoveryCounters,
+        tally: &mut RecoveryStats,
     ) -> Option<i64> {
         // Order candidate roots by imaginary magnitude: per §IV-D the
         // convenient root is the (essentially) real one.
@@ -761,7 +823,7 @@ impl BoundLevel {
                 continue;
             }
             let polished = polish_real_root(cf, root.re, 3);
-            if let Some(v) = self.verify_candidate(spec, target, lb, ub, polished, counters) {
+            if let Some(v) = self.verify_candidate(spec, target, lb, ub, polished, tally) {
                 return Some(v);
             }
         }
@@ -902,7 +964,7 @@ mod tests {
         let n = 12i64;
         let level = correlation_level0(n);
         assert!(level.i64_safe, "small N must prove the i64 fast path");
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let total = (n - 1) * n / 2;
         // Ground truth from enumeration.
         let mut expected = Vec::new();
@@ -913,10 +975,10 @@ mod tests {
         }
         for pc in 1..=total {
             let mut point = [0i64, 0];
-            let got = level.recover(&mut point, 0, 0, n - 2, pc as i128, &counters);
+            let got = level.recover(&mut point, 0, 0, n - 2, pc as i128, &mut tally);
             assert_eq!(got, expected[(pc - 1) as usize], "pc={pc}");
         }
-        let stats = counters.snapshot();
+        let stats = tally;
         assert_eq!(
             stats.binary_search, 0,
             "closed form should always hit: {stats:?}"
@@ -929,7 +991,7 @@ mod tests {
         // to integer verification.
         let n = 1i64 << 20;
         let level = correlation_level0(n);
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let total = ((n - 1) as i128) * (n as i128) / 2;
         // Check first, last, and the boundary between two specific rows:
         // the exact rank of the first point of row i = 777_777, computed
@@ -943,7 +1005,7 @@ mod tests {
                 continue;
             }
             let mut p = [0i64, 0];
-            let got = level.recover(&mut p, 0, 0, n - 2, pc, &counters);
+            let got = level.recover(&mut p, 0, 0, n - 2, pc, &mut tally);
             // Verify the defining property directly, through both the
             // specialized ladder and the reference polynomial.
             assert!(spec.eval_int(got) <= pc);
@@ -959,7 +1021,7 @@ mod tests {
         let n = 30i64;
         let mut level = correlation_level0(n);
         level.closed_form = false;
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let total = (n - 1) * n / 2;
         let mut expected = Vec::new();
         for i in 0..n - 1 {
@@ -969,22 +1031,22 @@ mod tests {
         }
         for pc in 1..=total {
             let mut point = [0i64, 0];
-            let got = level.recover(&mut point, 0, 0, n - 2, pc as i128, &counters);
+            let got = level.recover(&mut point, 0, 0, n - 2, pc as i128, &mut tally);
             assert_eq!(got, expected[(pc - 1) as usize], "pc={pc}");
         }
-        assert_eq!(counters.snapshot().binary_search as i64, total);
+        assert_eq!(tally.binary_search as i64, total);
     }
 
     #[test]
     fn reference_unranker_matches_compiled() {
         let n = 40i64;
         let level = correlation_level0(n);
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let total = (n - 1) * n / 2;
         for pc in 1..=total {
             let mut a = [0i64, 0];
             let mut b = [0i64, 0];
-            let compiled = level.recover(&mut a, 0, 0, n - 2, pc as i128, &counters);
+            let compiled = level.recover(&mut a, 0, 0, n - 2, pc as i128, &mut tally);
             let reference = level.recover_reference(&mut b, 0, 0, n - 2, pc as i128);
             assert_eq!(compiled, reference, "pc={pc}");
         }
@@ -1000,14 +1062,14 @@ mod tests {
         );
         let mut checked = fast.clone();
         checked.i64_safe = false;
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let total = (n - 1) * n / 2;
         for pc in (1..=total).step_by(97) {
             let mut a = [0i64, 0];
             let mut b = [0i64, 0];
             assert_eq!(
-                fast.recover(&mut a, 0, 0, n - 2, pc as i128, &counters),
-                checked.recover(&mut b, 0, 0, n - 2, pc as i128, &counters),
+                fast.recover(&mut a, 0, 0, n - 2, pc as i128, &mut tally),
+                checked.recover(&mut b, 0, 0, n - 2, pc as i128, &mut tally),
                 "pc={pc}"
             );
         }
@@ -1017,7 +1079,7 @@ mod tests {
     fn lane_recovery_matches_scalar_for_every_width_and_stride() {
         let n = 60i64;
         let level = correlation_level0(n);
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let total = ((n - 1) * n / 2) as i128;
         for lanes in [1usize, 3, 4, 8, 17] {
             for stride in [1i128, 7, 64] {
@@ -1034,12 +1096,13 @@ mod tests {
                         lanes,
                         &mut got,
                         1,
-                        &counters,
+                        None,
+                        &mut tally,
                     );
                     for (l, &v) in got.iter().enumerate() {
                         let mut point = [0i64, 0];
                         let pc = pc0 + l as i128 * stride;
-                        let expect = level.recover(&mut point, 0, 0, n - 2, pc, &counters);
+                        let expect = level.recover(&mut point, 0, 0, n - 2, pc, &mut tally);
                         assert_eq!(v, expect, "lanes={lanes} stride={stride} pc={pc}");
                     }
                     pc0 += 191; // cover starts deep into the triangle too
@@ -1047,7 +1110,7 @@ mod tests {
             }
         }
         assert!(
-            counters.snapshot().lane_sweep > 0,
+            tally.lane_sweep > 0,
             "small strides must resolve lanes by forward sweep"
         );
     }
@@ -1080,7 +1143,7 @@ mod tests {
         // sweeping with the widened budget.
         let n = 4000i64;
         let level = correlation_level0(n);
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let spec = level.specialize(&[0, 0]);
         let lanes = 16usize;
         // Row i has ~n − i values; near the start a rank stride of
@@ -1089,11 +1152,22 @@ mod tests {
         let total = ((n - 1) as i128) * (n as i128) / 2;
         assert!((lanes as i128) * stride < total / 2);
         let mut got = vec![0i64; lanes];
-        level.recover_lanes(&spec, 0, n - 2, 1, stride, lanes, &mut got, 1, &counters);
+        level.recover_lanes(
+            &spec,
+            0,
+            n - 2,
+            1,
+            stride,
+            lanes,
+            &mut got,
+            1,
+            None,
+            &mut tally,
+        );
         for (l, &v) in got.iter().enumerate() {
             let mut point = [0i64, 0];
             let pc = 1 + l as i128 * stride;
-            let expect = level.recover(&mut point, 0, 0, n - 2, pc, &counters);
+            let expect = level.recover(&mut point, 0, 0, n - 2, pc, &mut tally);
             assert_eq!(v, expect, "lane {l}");
             if l > 0 {
                 let gap = v - got[l - 1];
@@ -1103,7 +1177,7 @@ mod tests {
                 );
             }
         }
-        let stats = counters.snapshot();
+        let stats = tally;
         assert!(
             stats.lane_sweep >= (lanes - 2) as u64,
             "adaptive budget must let wide-gap lanes sweep: {stats:?}"
@@ -1113,10 +1187,10 @@ mod tests {
     #[test]
     fn lane_recovery_strided_writes_leave_gaps_untouched() {
         let level = correlation_level0(20);
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let spec = level.specialize(&[0, 0]);
         let mut out = [i64::MIN; 9]; // 3 lanes at stride 3
-        level.recover_lanes(&spec, 0, 18, 1, 50, 3, &mut out, 3, &counters);
+        level.recover_lanes(&spec, 0, 18, 1, 50, 3, &mut out, 3, None, &mut tally);
         for (slot, &v) in out.iter().enumerate() {
             if slot % 3 == 0 {
                 assert!(v >= 0, "lane slot {slot} must be written");
@@ -1129,10 +1203,10 @@ mod tests {
     #[test]
     fn single_value_level_shortcuts() {
         let level = correlation_level0(10);
-        let counters = RecoveryCounters::default();
+        let mut tally = RecoveryStats::default();
         let mut point = [0i64, 0];
-        assert_eq!(level.recover(&mut point, 0, 5, 5, 999, &counters), 5);
+        assert_eq!(level.recover(&mut point, 0, 5, 5, 999, &mut tally), 5);
         // Nothing counted: the shortcut bypasses all machinery.
-        assert_eq!(counters.snapshot(), RecoveryStats::default());
+        assert_eq!(tally, RecoveryStats::default());
     }
 }

@@ -3,6 +3,8 @@
 use crate::ast::ProgramAst;
 use crate::formulas::{build_formulas, total_expr, FormulaError, LevelFormula};
 use nrl_core::CollapseSpec;
+use nrl_poly::Poly;
+use nrl_rational::Rational;
 
 /// Which of the paper's code shapes to emit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,21 +56,70 @@ fn iter_names(spec: &CollapseSpec) -> Vec<String> {
     spec.nest().space().names()[..d].to_vec()
 }
 
-/// Emits the recovery assignments (one per level).
-fn recovery_c(formulas: &[LevelFormula], indent: &str) -> String {
+/// Emits the recovery assignments (one per level). The innermost level
+/// is solved in `long` arithmetic. Each root-based level is followed by
+/// an exact integer correction: the floating-point root lands on the
+/// right index only up to rounding (the paper floors it directly, which
+/// misplaces some ranks of cubic levels), so the index is clamped to its
+/// bounds and stepped until `R_k(x) ≤ pc < R_k(x+1)` holds in `long`
+/// arithmetic — the check the run-time engines make.
+fn recovery_c(spec: &CollapseSpec, formulas: &[LevelFormula], indent: &str) -> String {
+    let nest = spec.nest();
+    let names: Vec<&str> = nest.space().names().iter().map(String::as_str).collect();
     let mut out = String::new();
-    for f in formulas {
+    for (k, f) in formulas.iter().enumerate() {
+        let x = &f.var;
+        let (lb, ub) = (nest.lower(k).render(), nest.upper(k).render());
+        // R_k = num / den with an integer-coefficient numerator.
+        let rk = spec.level_poly(k);
+        let den = rk.denominator_lcm();
+        let num = rk.scale(Rational::from_int(den));
         if f.exact {
-            out.push_str(&format!("{indent}{} = {};\n", f.var, f.expr.to_c(false)));
-        } else {
+            // The innermost level, x = lb + pc − R_k(lb), entirely in
+            // `long` (the division is exact on the domain).
+            let at_lb = long_poly_c(&num.substitute(k, &nest.lower(k).to_poly()), &names);
             out.push_str(&format!(
-                "{indent}{} = {};\n",
-                f.var,
-                f.expr.to_c(f.needs_complex)
+                "{indent}{x} = {lb} + ({den}L*pc - {at_lb}) / {den}L;\n"
             ));
+            continue;
         }
+        out.push_str(&format!(
+            "{indent}{x} = {};\n",
+            f.expr.to_c(f.needs_complex)
+        ));
+        let n = num.nvars();
+        let num_next = num.substitute(k, &(Poly::var(n, k) + Poly::constant_int(n, 1)));
+        let (at_x, at_next) = (long_poly_c(&num, &names), long_poly_c(&num_next, &names));
+        out.push_str(&format!("{indent}if ({x} < {lb}) {x} = {lb};\n"));
+        out.push_str(&format!("{indent}if ({x} > {ub}) {x} = {ub};\n"));
+        out.push_str(&format!(
+            "{indent}while ({x} > {lb} && {at_x} > {den}L*pc) {x}--;\n"
+        ));
+        out.push_str(&format!(
+            "{indent}while ({x} < {ub} && {at_next} <= {den}L*pc) {x}++;\n"
+        ));
     }
     out
+}
+
+/// Renders an integer-coefficient polynomial as C `long` arithmetic.
+fn long_poly_c(p: &Poly, names: &[&str]) -> String {
+    let terms: Vec<String> = p
+        .terms()
+        .map(|(m, c)| {
+            debug_assert!(c.is_integer(), "numerator coefficients are integers");
+            let mut factors = vec![format!("{}L", c.numer())];
+            for (v, &e) in m.0.iter().enumerate() {
+                factors.extend((0..e).map(|_| names[v].to_string()));
+            }
+            factors.join("*")
+        })
+        .collect();
+    if terms.is_empty() {
+        "0L".to_string()
+    } else {
+        format!("({})", terms.join(" + "))
+    }
 }
 
 /// Emits the odometer incrementation of the original nest (Fig. 4's
@@ -138,7 +189,10 @@ pub fn generate_c(
         "spec depth must match the program's collapse clause (pass the prefix nest)"
     );
     let needs_complex = formulas.iter().any(|f| f.needs_complex);
-    let total = total_expr(spec).to_c(false);
+    // The trip count is an integer evaluated in floating point: round it
+    // back to `long`, since OpenMP requires an integer loop bound
+    // ("invalid controlling predicate" otherwise).
+    let total = format!("(long)floor({} + 0.5)", total_expr(spec).to_c(false));
     let body = if prog.body.is_empty() {
         "/* body */;".to_string()
     } else {
@@ -176,7 +230,7 @@ pub fn generate_c(
                 "  #pragma omp parallel for private({locals}) schedule({schedule})\n"
             ));
             out.push_str(&format!("  for (pc = 1; pc <= {total}; pc++) {{\n"));
-            out.push_str(&recovery_c(&formulas, "    "));
+            out.push_str(&recovery_c(spec, &formulas, "    "));
             out.push_str(&payload);
             out.push_str("  }\n");
         }
@@ -187,7 +241,7 @@ pub fn generate_c(
             ));
             out.push_str(&format!("  for (pc = 1; pc <= {total}; pc++) {{\n"));
             out.push_str("    if (first_iteration) {\n");
-            out.push_str(&recovery_c(&formulas, "      "));
+            out.push_str(&recovery_c(spec, &formulas, "      "));
             out.push_str("      first_iteration = 0;\n");
             out.push_str("    }\n");
             out.push_str(&payload);
@@ -203,7 +257,7 @@ pub fn generate_c(
             ));
             out.push_str(&format!("  for (pc = 1; pc <= {total}; pc++) {{\n"));
             out.push_str(&format!("    if ((pc - 1) % {chunk} == 0) {{\n"));
-            out.push_str(&recovery_c(&formulas, "      "));
+            out.push_str(&recovery_c(spec, &formulas, "      "));
             out.push_str("    }\n");
             out.push_str(&payload);
             out.push_str(&incrementation_c(spec, "    "));
@@ -230,7 +284,7 @@ pub fn generate_c(
                 "  for (pc = 1; pc <= {total}; pc += {vlength}) {{\n"
             ));
             out.push_str("    if (first_iteration) {\n");
-            out.push_str(&recovery_c(&formulas, "      "));
+            out.push_str(&recovery_c(spec, &formulas, "      "));
             out.push_str("      first_iteration = 0;\n");
             out.push_str("    }\n");
             out.push_str(&format!(
@@ -270,7 +324,7 @@ pub fn generate_c(
                 "    for (pc = thread + 1; pc <= {total}; pc += {warp}) {{\n"
             ));
             out.push_str("      if (pc == thread + 1) {\n");
-            out.push_str(&recovery_c(&formulas, "        "));
+            out.push_str(&recovery_c(spec, &formulas, "        "));
             out.push_str("      }\n");
             out.push_str(&payload);
             out.push_str(&format!(
@@ -370,8 +424,12 @@ mod tests {
         assert!(code.contains("i = floor("));
         assert!(code.contains("sqrt("));
         assert!(code.contains("a[i][j] += b[k][i] * c[k][j];"));
-        // The collapsed bound is (N² − N)/2 in some arrangement.
-        assert!(code.contains("pc <= ("), "total bound inline: {code}");
+        // The collapsed bound is (N² − N)/2 in some arrangement, rounded
+        // to an integer as OpenMP requires.
+        assert!(
+            code.contains("pc <= (long)floor("),
+            "total bound inline: {code}"
+        );
     }
 
     #[test]

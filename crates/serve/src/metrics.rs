@@ -168,14 +168,15 @@ impl ServeMetrics {
         let _ = writeln!(
             out,
             "recovery: closed_form_exact {} corrected {} binary_search {} linear_exact {} \
-             spec_cache_hit {} spec_cache_miss {} lane_sweep {}",
+             spec_cache_hit {} spec_cache_miss {} lane_sweep {} warm_step {}",
             r.closed_form_exact,
             r.corrected,
             r.binary_search,
             r.linear_exact,
             r.spec_cache_hit,
             r.spec_cache_miss,
-            r.lane_sweep
+            r.lane_sweep,
+            r.warm_step
         );
         let a = &self.autotune;
         let _ = writeln!(
@@ -282,64 +283,5 @@ impl AutotuneTotals {
             measured_ns: self.measured_ns.load(Ordering::Relaxed),
             chosen,
         }
-    }
-}
-
-/// Service-wide recovery-counter totals, accumulated run by run from
-/// each run's snapshot delta.
-#[derive(Default)]
-pub(crate) struct RecoveryTotals {
-    closed_form_exact: AtomicU64,
-    corrected: AtomicU64,
-    binary_search: AtomicU64,
-    linear_exact: AtomicU64,
-    spec_cache_hit: AtomicU64,
-    spec_cache_miss: AtomicU64,
-    lane_sweep: AtomicU64,
-}
-
-impl RecoveryTotals {
-    pub(crate) fn add(&self, d: &RecoveryStats) {
-        self.closed_form_exact
-            .fetch_add(d.closed_form_exact, Ordering::Relaxed);
-        self.corrected.fetch_add(d.corrected, Ordering::Relaxed);
-        self.binary_search
-            .fetch_add(d.binary_search, Ordering::Relaxed);
-        self.linear_exact
-            .fetch_add(d.linear_exact, Ordering::Relaxed);
-        self.spec_cache_hit
-            .fetch_add(d.spec_cache_hit, Ordering::Relaxed);
-        self.spec_cache_miss
-            .fetch_add(d.spec_cache_miss, Ordering::Relaxed);
-        self.lane_sweep.fetch_add(d.lane_sweep, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> RecoveryStats {
-        RecoveryStats {
-            closed_form_exact: self.closed_form_exact.load(Ordering::Relaxed),
-            corrected: self.corrected.load(Ordering::Relaxed),
-            binary_search: self.binary_search.load(Ordering::Relaxed),
-            linear_exact: self.linear_exact.load(Ordering::Relaxed),
-            spec_cache_hit: self.spec_cache_hit.load(Ordering::Relaxed),
-            spec_cache_miss: self.spec_cache_miss.load(Ordering::Relaxed),
-            lane_sweep: self.lane_sweep.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// `after − before` for two monotone snapshots of one `Collapsed`'s
-/// counters (saturating, in case a counter is shared with runs outside
-/// the service).
-pub(crate) fn stats_delta(before: &RecoveryStats, after: &RecoveryStats) -> RecoveryStats {
-    RecoveryStats {
-        closed_form_exact: after
-            .closed_form_exact
-            .saturating_sub(before.closed_form_exact),
-        corrected: after.corrected.saturating_sub(before.corrected),
-        binary_search: after.binary_search.saturating_sub(before.binary_search),
-        linear_exact: after.linear_exact.saturating_sub(before.linear_exact),
-        spec_cache_hit: after.spec_cache_hit.saturating_sub(before.spec_cache_hit),
-        spec_cache_miss: after.spec_cache_miss.saturating_sub(before.spec_cache_miss),
-        lane_sweep: after.lane_sweep.saturating_sub(before.lane_sweep),
     }
 }

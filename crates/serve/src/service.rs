@@ -39,13 +39,11 @@
 //! `Quarantined` plan error for coalesced waiters). No service thread
 //! dies; no lock is poisoned.
 
-use crate::metrics::{
-    stats_delta, AutotuneTotals, LatencyTotals, RecoveryTotals, ServeMetrics, TenantStats,
-};
+use crate::metrics::{AutotuneTotals, LatencyTotals, ServeMetrics, TenantStats};
 use crate::request::{
     CollapseRequest, RejectReason, RunReply, RunRequest, RunWork, ServeError, ServeReducer, Tenant,
 };
-use nrl_core::{Collapsed, Recovery, Reducer, Strategy, TunedStrategy};
+use nrl_core::{Collapsed, Recovery, RecoveryCounters, Reducer, Strategy, TunedStrategy};
 use nrl_obs::{now_ns, span_traced, TraceId};
 use nrl_parfor::{BoundedQueue, QueueFull, RunOutcome, RunToken, Schedule, ThreadPool};
 use nrl_plan::{ParamPlan, PlanCache};
@@ -196,7 +194,7 @@ struct Shared {
     pool: ThreadPool,
     queue: BoundedQueue<Job>,
     tenants: Mutex<Vec<(Tenant, TenantStats)>>,
-    recovery: RecoveryTotals,
+    recovery: RecoveryCounters,
     /// Per-verb / per-phase latency histograms (always on; lock-free).
     latency: LatencyTotals,
     /// High-water mark of the queue depth (enqueue- and dispatch-side
@@ -237,7 +235,7 @@ impl CollapseService {
             pool: ThreadPool::new(config.workers.max(1)),
             queue: BoundedQueue::new(config.queue_capacity),
             tenants: Mutex::new(Vec::new()),
-            recovery: RecoveryTotals::default(),
+            recovery: RecoveryCounters::default(),
             latency: LatencyTotals::default(),
             queue_depth_max: AtomicU64::new(0),
             runs: AtomicU64::new(0),
@@ -635,8 +633,8 @@ fn dispatcher_loop(shared: Arc<Shared>) {
         }
         let reply = match ran {
             Ok((outcome, reduced)) => {
-                let delta = stats_delta(&before, &collapsed.stats());
-                shared.recovery.add(&delta);
+                let delta = collapsed.stats().since(&before);
+                shared.recovery.merge(&delta);
                 Ok(RunReply {
                     outcome,
                     recovery: delta,
